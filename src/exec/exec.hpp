@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace mfc::exec {
@@ -111,8 +112,38 @@ private:
 /// tests).
 [[nodiscard]] bool in_parallel();
 
-/// Chunk body: process rows [chunk_begin, chunk_end).
-using ChunkFn = std::function<void(long long, long long)>;
+/// Chunk body: process rows [chunk_begin, chunk_end). A non-owning
+/// reference to the caller's callable, which must outlive the call it is
+/// passed to (a lambda temporary at the call site does). Unlike
+/// std::function it builds nothing out of line at the call site, so the
+/// per-ISA-level kernel objects that call parallel_for share no weak
+/// symbols (see simd/simd.hpp).
+class ChunkFn {
+public:
+    template <class F, class = std::enable_if_t<
+                           !std::is_same_v<std::decay_t<F>, ChunkFn>>>
+    ChunkFn(F&& f) noexcept { // NOLINT(google-explicit-constructor)
+        using D = std::remove_reference_t<F>;
+        if constexpr (std::is_function_v<D>) {
+            fn_ = &f;
+            call_ = [](const ChunkFn& self, long long lo, long long hi) {
+                self.fn_(lo, hi);
+            };
+        } else {
+            obj_ = &f;
+            call_ = [](const ChunkFn& self, long long lo, long long hi) {
+                (*static_cast<const D*>(self.obj_))(lo, hi);
+            };
+        }
+    }
+
+    void operator()(long long lo, long long hi) const { call_(*this, lo, hi); }
+
+private:
+    const void* obj_ = nullptr;
+    void (*fn_)(long long, long long) = nullptr;
+    void (*call_)(const ChunkFn&, long long, long long) = nullptr;
+};
 
 /// Run `body` over [begin, end) split into contiguous chunks dispatched
 /// on the calling thread's team (work-stealing by default; see

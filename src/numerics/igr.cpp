@@ -2,8 +2,8 @@
 
 #include "core/error.hpp"
 #include "exec/exec.hpp"
+#include "numerics/row_kernels.hpp"
 #include "prof/prof.hpp"
-#include "simd/simd.hpp"
 
 namespace mfc {
 
@@ -62,57 +62,29 @@ void igr_elliptic_solve(const IgrParams& params, const Field& source,
         }
     };
 
-    // Jacobi rows are independent and stream contiguously along x, so the
-    // interior cells [1, nx-1) — whose x-neighbors need no boundary clamp —
-    // run W cells per step; the two clamped boundary cells and the tail
-    // reuse the same expressions at W = 1, keeping every width bitwise
-    // identical to the serial scalar row. Transverse neighbors come from
-    // row pointers pre-clamped per (j, k). Gauss-Seidel reads its own
-    // in-flight writes and stays serial and scalar.
-    const auto relax_row_w = [&](auto wtag, const Field& s, Field& dst, int j,
-                                 int k) {
-        constexpr int W = decltype(wtag)::value;
-        const double* sp = s.ptr(0, j, k);
-        const double* src = source.ptr(0, j, k);
-        double* dp = dst.ptr(0, j, k);
-        const double* sjm =
-            s.ptr(0, j > 0 ? j - 1 : (ify_lo ? -1 : j), k);
-        const double* sjp =
-            s.ptr(0, j < e.ny - 1 ? j + 1 : (ify_hi ? e.ny : j), k);
-        const double* skm =
-            s.ptr(0, j, k > 0 ? k - 1 : (ifz_lo ? -1 : k));
-        const double* skp =
-            s.ptr(0, j, k < e.nz - 1 ? k + 1 : (ifz_hi ? e.nz : k));
-
-        const auto cell_block = [&](auto bwtag, int i) {
-            constexpr int BW = decltype(bwtag)::value;
-            using BV = simd::vd<BW>;
-            BV nb = 0.0;
-            if (e.nx > 1) {
-                nb += (BV::load(sp + i - 1) + BV::load(sp + i + 1));
-            }
-            if (e.ny > 1) nb += (BV::load(sjm + i) + BV::load(sjp + i));
-            if (e.nz > 1) nb += (BV::load(skm + i) + BV::load(skp + i));
-            const BV out = (BV::load(src + i) + BV(off) * nb) / BV(diag);
-            out.store(dp + i);
-        };
-        const auto scalar_cell = [&](int i) {
-            double nb = 0.0;
-            if (e.nx > 1) {
-                nb += (i > 0 ? sp[i - 1] : (ifx_lo ? sp[-1] : sp[i])) +
-                      (i < e.nx - 1 ? sp[i + 1]
-                                    : (ifx_hi ? sp[e.nx] : sp[i]));
-            }
-            if (e.ny > 1) nb += sjm[i] + sjp[i];
-            if (e.nz > 1) nb += skm[i] + skp[i];
-            dp[i] = (src[i] + off * nb) / diag;
-        };
-
-        scalar_cell(0);
-        int i = 1;
-        for (; i + W <= e.nx - 1; i += W) cell_block(wtag, i);
-        for (; i < e.nx - 1; ++i) cell_block(std::integral_constant<int, 1>{}, i);
-        if (e.nx > 1) scalar_cell(e.nx - 1);
+    // Jacobi rows are independent and stream contiguously along x: each
+    // runs through the per-level row kernel (row_kernels.cpp), W cells
+    // per step and bitwise identical at every level and width.
+    // Transverse neighbors come from row pointers pre-clamped per (j, k).
+    // Gauss-Seidel reads its own in-flight writes and stays serial and
+    // scalar.
+    const auto jacobi_row = [&](const Field& s, Field& dst, int j, int k) {
+        JacobiRow r;
+        r.s = s.ptr(0, j, k);
+        r.sjm = s.ptr(0, j > 0 ? j - 1 : (ify_lo ? -1 : j), k);
+        r.sjp = s.ptr(0, j < e.ny - 1 ? j + 1 : (ify_hi ? e.ny : j), k);
+        r.skm = s.ptr(0, j, k > 0 ? k - 1 : (ifz_lo ? -1 : k));
+        r.skp = s.ptr(0, j, k < e.nz - 1 ? k + 1 : (ifz_hi ? e.nz : k));
+        r.src = source.ptr(0, j, k);
+        r.dst = dst.ptr(0, j, k);
+        r.nx = e.nx;
+        r.has_y = e.ny > 1;
+        r.has_z = e.nz > 1;
+        r.ifx_lo = ifx_lo;
+        r.ifx_hi = ifx_hi;
+        r.off = off;
+        r.diag = diag;
+        return r;
     };
 
     Field next = sigma; // Jacobi needs a second buffer
@@ -122,18 +94,16 @@ void igr_elliptic_solve(const IgrParams& params, const Field& source,
         // neighbor's previous iterate — exactly the serial stencil.
         if (exchange && params.iter_solver == 1) exchange(sigma);
         if (params.iter_solver == 1) {
-            simd::dispatch([&](auto wc) {
-                exec::parallel_for("igr_elliptic", 0, rows,
-                                   [&](long long lo, long long hi) {
-                                       for (long long t = lo; t < hi; ++t) {
-                                           const int j =
-                                               static_cast<int>(t % e.ny);
-                                           const int k =
-                                               static_cast<int>(t / e.ny);
-                                           relax_row_w(wc, sigma, next, j, k);
-                                       }
-                                   });
-            });
+            const JacobiRowFn relax = simd::dispatch(
+                kNumericsKernels, &NumericsKernels::igr_jacobi_row);
+            exec::parallel_for(
+                "igr_elliptic", 0, rows, [&](long long lo, long long hi) {
+                    for (long long t = lo; t < hi; ++t) {
+                        const int j = static_cast<int>(t % e.ny);
+                        const int k = static_cast<int>(t / e.ny);
+                        relax(jacobi_row(sigma, next, j, k));
+                    }
+                });
             std::swap(sigma, next);
         } else {
             for (int k = 0; k < e.nz; ++k) {

@@ -3,7 +3,7 @@
 #include "core/error.hpp"
 #include "core/field.hpp"
 #include "exec/exec.hpp"
-#include "numerics/vec_axpy.hpp"
+#include "numerics/row_kernels.hpp"
 #include "prof/prof.hpp"
 
 namespace mfc {
@@ -47,19 +47,17 @@ void linear_combine(double a, const StateArray& qa, double b,
         const long long rows =
             static_cast<long long>(ny) * static_cast<long long>(fo.nz());
         const long long len = fo.padded_row_length();
-        simd::dispatch([&](auto wc) {
-            exec::parallel_for(
-                "rk_update", 0, rows, [&](long long row_lo, long long row_hi) {
-                    for (long long t = row_lo; t < row_hi; ++t) {
-                        const int j = static_cast<int>(t % ny);
-                        const int k = static_cast<int>(t / ny);
-                        rk_axpy_rows<wc()>(a, fa.ptr(-gx, j, k), b,
-                                           fb.ptr(-gx, j, k), c_dt,
-                                           fd.ptr(-gx, j, k),
-                                           fo.ptr(-gx, j, k), 0, len);
-                    }
-                });
-        });
+        const RkAxpyFn axpy =
+            simd::dispatch(kNumericsKernels, &NumericsKernels::rk_axpy);
+        exec::parallel_for(
+            "rk_update", 0, rows, [&](long long row_lo, long long row_hi) {
+                for (long long t = row_lo; t < row_hi; ++t) {
+                    const int j = static_cast<int>(t % ny);
+                    const int k = static_cast<int>(t / ny);
+                    axpy(a, fa.ptr(-gx, j, k), b, fb.ptr(-gx, j, k), c_dt,
+                         fd.ptr(-gx, j, k), fo.ptr(-gx, j, k), 0, len);
+                }
+            });
     }
 }
 

@@ -11,6 +11,7 @@
 /// expression — the same tree per element either way, so any width (and
 /// any chunking) is bitwise identical to the serial scalar loop.
 namespace mfc {
+inline namespace MFC_SIMD_NS { // per-level build (simd/simd.hpp)
 
 template <int W>
 inline void rk_axpy_rows(double a, const double* va, double b,
@@ -30,4 +31,5 @@ inline void rk_axpy_rows(double a, const double* va, double b,
     }
 }
 
+} // inline namespace MFC_SIMD_NS
 } // namespace mfc

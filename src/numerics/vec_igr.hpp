@@ -14,6 +14,7 @@
 /// (vmax/vabs carry std::max/std::abs semantics), so results are bitwise
 /// equal at any width. Returns the face velocities.
 namespace mfc {
+inline namespace MFC_SIMD_NS { // per-level build (simd/simd.hpp)
 
 template <int W>
 inline vdw<W> igr_face_flux_v(const EquationLayout& lay,
@@ -40,4 +41,5 @@ inline vdw<W> igr_face_flux_v(const EquationLayout& lay,
     return pface[lay.mom(dir)];
 }
 
+} // inline namespace MFC_SIMD_NS
 } // namespace mfc

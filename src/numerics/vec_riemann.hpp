@@ -18,6 +18,7 @@
 /// tree as the scalar path, so results are bitwise equal at any width.
 /// Keep in sync with riemann.cpp; the parity ctest (test_simd) enforces it.
 namespace mfc {
+inline namespace MFC_SIMD_NS { // per-level build (simd/simd.hpp)
 
 template <int W> struct WaveSpeedsV {
     vdw<W> sl, sr, s_star;
@@ -144,4 +145,5 @@ inline vdw<W> solve_riemann_v(RiemannSolverKind kind, const EquationLayout& lay,
                         simd::select(right_super, uR, w.s_star));
 }
 
+} // inline namespace MFC_SIMD_NS
 } // namespace mfc

@@ -11,6 +11,7 @@
 /// tau branch — so results are bitwise equal to weno_edges() at any width.
 /// Keep in sync with weno.hpp; the parity ctest (test_simd) enforces this.
 namespace mfc {
+inline namespace MFC_SIMD_NS { // per-level build (simd/simd.hpp)
 
 namespace detail {
 
@@ -139,4 +140,5 @@ inline void weno_edges_v(const double* v, int order, double eps,
     }
 }
 
+} // inline namespace MFC_SIMD_NS
 } // namespace mfc

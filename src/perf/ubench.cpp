@@ -7,12 +7,9 @@
 
 #include "core/error.hpp"
 #include "exec/exec.hpp"
-#include "numerics/vec_axpy.hpp"
-#include "numerics/vec_igr.hpp"
-#include "numerics/vec_riemann.hpp"
-#include "numerics/vec_weno.hpp"
+#include "numerics/row_kernels.hpp"
+#include "perf/ubench_kernels.hpp"
 #include "physics/model.hpp"
-#include "physics/vec_kernels.hpp"
 #include "simd/simd.hpp"
 
 namespace mfc::perf {
@@ -129,29 +126,10 @@ UbenchResult bench_prim_convert(const UbenchOptions& o) {
         for (int q = 0; q < neq; ++q)
             cons[static_cast<std::size_t>(q) * cells + i] = c[q];
     }
+    const PrimConvertRowFn kernel =
+        simd::dispatch(kUbenchKernels, &UbenchKernels::prim_convert);
     const double min_ns = time_min_ns(o.reps, [&] {
-        simd::dispatch([&](auto wc) {
-            constexpr int W = wc();
-            const auto block = [&](auto tag, int i) {
-                constexpr int BW = decltype(tag)::value;
-                using BV = simd::vd<BW>;
-                BV cv[kMaxEqns], pv[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    cv[q] = BV::load(cons.data() +
-                                     static_cast<std::size_t>(q) * cells + i);
-                }
-                cons_to_prim_v<BW>(lay, bench_fluids(), cv, pv);
-                for (int q = 0; q < neq; ++q) {
-                    pv[q].store(out.data() +
-                                static_cast<std::size_t>(q) * cells + i);
-                }
-            };
-            int i = 0;
-            for (; i + W <= cells; i += W)
-                block(std::integral_constant<int, W>{}, i);
-            for (; i < cells; ++i)
-                block(std::integral_constant<int, 1>{}, i);
-        });
+        kernel(lay, bench_fluids(), cons.data(), out.data(), cells);
     });
     const KernelCost cost{2.0 * neq * 8.0, 45.0};
     return make_result("prim_convert", o, cost, min_ns, digest(out));
@@ -169,25 +147,11 @@ UbenchResult bench_weno(const std::string& name, int order,
     std::vector<double> left(static_cast<std::size_t>(cells));
     std::vector<double> right(static_cast<std::size_t>(cells));
     const double eps = 1.0e-16;
+    const WenoRowFn kernel =
+        simd::dispatch(kUbenchKernels, &UbenchKernels::weno);
     const double min_ns = time_min_ns(o.reps, [&] {
-        simd::dispatch([&](auto wc) {
-            constexpr int W = wc();
-            int i = 0;
-            for (; i + W <= cells; i += W) {
-                simd::vd<W> l, rt;
-                weno_edges_v<W>(row.data() + i + r, order, eps, l, rt,
-                                variant);
-                l.store(left.data() + i);
-                rt.store(right.data() + i);
-            }
-            for (; i < cells; ++i) {
-                simd::vd<1> l, rt;
-                weno_edges_v<1>(row.data() + i + r, order, eps, l, rt,
-                                variant);
-                l.store(left.data() + i);
-                rt.store(right.data() + i);
-            }
-        });
+        kernel(row.data(), order, eps, variant, left.data(), right.data(),
+               cells);
     });
     const KernelCost cost{24.0, flops};
     return make_result(name, o, cost, min_ns, digest(left) + digest(right));
@@ -203,31 +167,11 @@ UbenchResult bench_riemann(const std::string& name, RiemannSolverKind kind,
     fill_prim_rows(cells, 0.4, right);
     std::vector<double> flux(left.size());
     std::vector<double> uface(static_cast<std::size_t>(cells));
+    const RiemannRowFn kernel =
+        simd::dispatch(kUbenchKernels, &UbenchKernels::riemann);
     const double min_ns = time_min_ns(o.reps, [&] {
-        simd::dispatch([&](auto wc) {
-            constexpr int W = wc();
-            const auto block = [&](auto tag, int f) {
-                constexpr int BW = decltype(tag)::value;
-                using BV = simd::vd<BW>;
-                BV pl[kMaxEqns], pr[kMaxEqns], fx[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    const auto qo = static_cast<std::size_t>(q) * cells + f;
-                    pl[q] = BV::load(left.data() + qo);
-                    pr[q] = BV::load(right.data() + qo);
-                }
-                const BV uf = solve_riemann_v<BW>(kind, lay, bench_fluids(),
-                                                  pl, pr, 0, fx);
-                for (int q = 0; q < neq; ++q) {
-                    fx[q].store(flux.data() +
-                                static_cast<std::size_t>(q) * cells + f);
-                }
-                uf.store(uface.data() + f);
-            };
-            int f = 0;
-            for (; f + W <= cells; f += W)
-                block(std::integral_constant<int, W>{}, f);
-            for (; f < cells; ++f) block(std::integral_constant<int, 1>{}, f);
-        });
+        kernel(kind, lay, bench_fluids(), left.data(), right.data(),
+               flux.data(), uface.data(), cells);
     });
     const KernelCost cost{(3.0 * neq + 1.0) * 8.0, flops};
     return make_result(name, o, cost, min_ns, digest(flux) + digest(uface));
@@ -243,40 +187,20 @@ UbenchResult bench_igr_flux(const UbenchOptions& o) {
     fill_prim_rows(cells, 0.4, cr);
     std::vector<double> flux(face.size());
     std::vector<double> uface(static_cast<std::size_t>(cells));
+    const IgrFluxRowFn kernel =
+        simd::dispatch(kUbenchKernels, &UbenchKernels::igr_flux);
     const double min_ns = time_min_ns(o.reps, [&] {
-        simd::dispatch([&](auto wc) {
-            constexpr int W = wc();
-            const auto block = [&](auto tag, int f) {
-                constexpr int BW = decltype(tag)::value;
-                using BV = simd::vd<BW>;
-                BV pf[kMaxEqns], pl[kMaxEqns], pr[kMaxEqns], fx[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    const auto qo = static_cast<std::size_t>(q) * cells + f;
-                    pf[q] = BV::load(face.data() + qo);
-                    pl[q] = BV::load(cl.data() + qo);
-                    pr[q] = BV::load(cr.data() + qo);
-                }
-                const BV uf =
-                    igr_face_flux_v<BW>(lay, bench_fluids(), pf, pl, pr, 0, fx);
-                for (int q = 0; q < neq; ++q) {
-                    fx[q].store(flux.data() +
-                                static_cast<std::size_t>(q) * cells + f);
-                }
-                uf.store(uface.data() + f);
-            };
-            int f = 0;
-            for (; f + W <= cells; f += W)
-                block(std::integral_constant<int, W>{}, f);
-            for (; f < cells; ++f) block(std::integral_constant<int, 1>{}, f);
-        });
+        kernel(lay, bench_fluids(), face.data(), cl.data(), cr.data(),
+               flux.data(), uface.data(), cells);
     });
     const KernelCost cost{(4.0 * neq + 1.0) * 8.0, 160.0};
     return make_result("igr_flux", o, cost, min_ns, digest(flux));
 }
 
 UbenchResult bench_igr_jacobi(const UbenchOptions& o) {
-    // One 1D Jacobi relaxation row (the x-only specialization of
-    // igr_elliptic_solve's stencil), boundary cells clamped.
+    // One 1D Jacobi relaxation row through the solver's own row kernel
+    // (the x-only case of igr_elliptic_solve's stencil), boundary cells
+    // clamped.
     const int cells = o.cells;
     std::vector<double> sigma(static_cast<std::size_t>(cells));
     std::vector<double> source(static_cast<std::size_t>(cells));
@@ -285,35 +209,16 @@ UbenchResult bench_igr_jacobi(const UbenchOptions& o) {
         source[static_cast<std::size_t>(i)] = 1.0 + 0.5 * std::cos(0.07 * i);
     }
     std::vector<double> out(static_cast<std::size_t>(cells));
-    const double off = 0.25;
-    const double diag = 1.5;
-    const double min_ns = time_min_ns(o.reps, [&] {
-        simd::dispatch([&](auto wc) {
-            constexpr int W = wc();
-            const double* sp = sigma.data();
-            const double* src = source.data();
-            double* dp = out.data();
-            const auto scalar_cell = [&](int i) {
-                const double nb = (i > 0 ? sp[i - 1] : sp[i]) +
-                                  (i < cells - 1 ? sp[i + 1] : sp[i]);
-                dp[i] = (src[i] + off * nb) / diag;
-            };
-            const auto block = [&](auto tag, int i) {
-                constexpr int BW = decltype(tag)::value;
-                using BV = simd::vd<BW>;
-                const BV nb = BV::load(sp + i - 1) + BV::load(sp + i + 1);
-                const BV r = (BV::load(src + i) + BV(off) * nb) / BV(diag);
-                r.store(dp + i);
-            };
-            scalar_cell(0);
-            int i = 1;
-            for (; i + W <= cells - 1; i += W)
-                block(std::integral_constant<int, W>{}, i);
-            for (; i < cells - 1; ++i)
-                block(std::integral_constant<int, 1>{}, i);
-            if (cells > 1) scalar_cell(cells - 1);
-        });
-    });
+    JacobiRow row;
+    row.s = sigma.data();
+    row.src = source.data();
+    row.dst = out.data();
+    row.nx = cells;
+    row.off = 0.25;
+    row.diag = 1.5;
+    const JacobiRowFn kernel =
+        simd::dispatch(kNumericsKernels, &NumericsKernels::igr_jacobi_row);
+    const double min_ns = time_min_ns(o.reps, [&] { kernel(row); });
     const KernelCost cost{24.0, 6.0};
     return make_result("igr_jacobi", o, cost, min_ns, digest(out));
 }
@@ -458,11 +363,11 @@ UbenchResult bench_rk_axpy(const UbenchOptions& o) {
         vb[static_cast<std::size_t>(i)] = std::cos(0.02 * i);
         vdq[static_cast<std::size_t>(i)] = 0.1 * std::sin(0.05 * i);
     }
+    const RkAxpyFn kernel =
+        simd::dispatch(kNumericsKernels, &NumericsKernels::rk_axpy);
     const double min_ns = time_min_ns(o.reps, [&] {
-        simd::dispatch([&](auto wc) {
-            rk_axpy_rows<wc()>(0.75, va.data(), 0.25, vb.data(), 0.01,
-                               vdq.data(), vo.data(), 0, cells);
-        });
+        kernel(0.75, va.data(), 0.25, vb.data(), 0.01, vdq.data(), vo.data(),
+               0, cells);
     });
     const KernelCost cost{32.0, 5.0};
     return make_result("rk_axpy", o, cost, min_ns, digest(vo));

@@ -9,8 +9,9 @@ namespace mfc::perf {
 
 /// Standalone microbenchmarks of the solver's hot pencil kernels
 /// (`mfc ubench`). Each kernel runs on deterministic, physically valid
-/// synthetic rows — the same templates the RHS dispatches, at the
-/// simd width currently selected by mfc::simd::width() — and reports
+/// synthetic rows — the same templates the RHS dispatches, compiled per
+/// ISA level like the solver's, at the level and simd width currently
+/// selected (mfc::simd::isa(), mfc::simd::width()) — and reports
 /// min-of-reps timing so a kernel regression can be localized without
 /// running a full case. Results land in the `ubench:` section of the
 /// bench YAML and diff through `mfc bench_diff`.

@@ -16,6 +16,7 @@
 /// States are passed as arrays of vd<W> indexed by equation (an SoA cell
 /// block): state[q].lane(l) is equation q of cell l.
 namespace mfc {
+inline namespace MFC_SIMD_NS { // per-level build (simd/simd.hpp)
 
 template <int W> using vdw = simd::vd<W>;
 
@@ -186,4 +187,5 @@ inline void physical_flux_v(const EquationLayout& lay,
     }
 }
 
+} // inline namespace MFC_SIMD_NS
 } // namespace mfc

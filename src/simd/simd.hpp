@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <type_traits>
 
 #include "core/error.hpp"
@@ -26,6 +28,23 @@
 ///  - vsqrt applies std::sqrt per lane.
 ///  - select(m,a,b) picks a where m is true, b elsewhere, with no
 ///    arithmetic on the discarded lane beyond what was already computed.
+///
+/// Runtime ISA dispatch: the kernel sources that instantiate these types
+/// are compiled once per instruction-set level (baseline, x86-64-v3,
+/// x86-64-v4; see the top-level CMakeLists.txt), each with
+/// -ffp-contract=off so no level fuses a multiply-add the scalar path
+/// rounds twice. Every level therefore computes the same bits; only the
+/// instructions differ. Everything that is compiled per level — the
+/// vector types below and the vec_*.hpp kernels — lives in the inline
+/// namespace MFC_SIMD_NS (Highway's HWY_NAMESPACE pattern), which each
+/// level's build defines to its own name (isa_baseline, isa_x86_64_v3,
+/// isa_x86_64_v4). Without it the linker would keep one copy of each
+/// inline operator and could hand AVX-512 code to baseline callers. Code
+/// outside the per-level kernel builds sees isa_baseline.
+#ifndef MFC_SIMD_NS
+#define MFC_SIMD_NS isa_baseline
+#endif
+
 namespace mfc::simd {
 
 /// Arena/row-buffer alignment contract: allocations the vector kernels
@@ -43,13 +62,91 @@ inline constexpr int kMaxWidth = 8;
 
 [[nodiscard]] bool width_allowed(int w);
 
-/// Current dispatch width for the vectorized solver paths. Defaults to 4
-/// (256-bit rows) and may be overridden by the MFC_SIMD_WIDTH environment
-/// variable or set_width(). Width 1 selects the scalar fallback everywhere.
+/// Current dispatch width for the vectorized solver paths: the
+/// MFC_SIMD_WIDTH environment variable or the last set_width() when
+/// given, else the selected ISA level's default (4; 8 at x86-64-v4, from
+/// the interleaved A/B in EXPERIMENTS.md). Width 1 selects the scalar
+/// fallback everywhere.
 [[nodiscard]] int width();
 
 /// Set the dispatch width; must be one of 1, 2, 4, 8.
 void set_width(int w);
+
+/// Instruction-set levels the per-level kernel builds target, in order of
+/// increasing capability.
+enum class Isa : int { Baseline = 0, X86_64_V3 = 1, X86_64_V4 = 2 };
+inline constexpr int kNumIsas = 3;
+
+/// "baseline", "x86-64-v3", "x86-64-v4" (the MFC_ISA spellings).
+[[nodiscard]] const char* isa_name(Isa isa);
+
+/// Parse an MFC_ISA spelling; throws mfc::Error on an unknown name.
+[[nodiscard]] Isa parse_isa(const std::string& name);
+
+/// True when this binary carries kernels built for `isa` (only baseline
+/// on non-x86-64 targets, compilers without the level names, and Debug
+/// builds) and the host CPU (and OS) support it.
+[[nodiscard]] bool isa_supported(Isa isa);
+
+/// Level the solver kernels dispatch to: the highest supported level,
+/// unless the MFC_ISA environment variable names one (an unknown or
+/// unsupported MFC_ISA is an error, never silently replaced).
+[[nodiscard]] Isa isa();
+
+/// Select a level; throws mfc::Error when it is not supported here.
+void set_isa(Isa isa);
+
+/// Kernel slots of one level, one per width: [0] W=1, [1] W=2, [2] W=4,
+/// [3] W=8.
+template <class Fn> using ByWidth = std::array<Fn, 4>;
+
+[[nodiscard]] constexpr int width_slot(int w) {
+    return w == 8 ? 3 : w == 4 ? 2 : w == 2 ? 1 : 0;
+}
+
+/// One kernel table per level, indexed by Isa; levels not compiled into
+/// this binary hold nullptr (isa() never selects them).
+template <class Table> using ByIsa = std::array<const Table*, kNumIsas>;
+
+/// The one dispatch point for (level x width): the `slot` kernel of the
+/// selected level's table at the selected width. Kernels call this once
+/// per sweep:
+///   simd::dispatch(kTables, &Table::sweep)(args...);
+template <class Table, class Fn>
+[[nodiscard]] Fn dispatch(const ByIsa<Table>& tables,
+                          ByWidth<Fn> Table::*slot) {
+    return (tables[static_cast<std::size_t>(isa())]->*slot)
+        [static_cast<std::size_t>(width_slot(width()))];
+}
+
+} // namespace mfc::simd
+
+/// Per-level table plumbing. A kernel source defines its level's table as
+///   const Table MFC_SIMD_PER_ISA(kName) = {MFC_SIMD_BY_WIDTH(fn), ...};
+/// (kName_isa_<level>, a distinct symbol per level build), and its header
+/// gathers every compiled level's table with
+///   MFC_SIMD_DECLARE_BY_ISA(Table, kName)
+/// into `inline constexpr simd::ByIsa<Table> kName`.
+#define MFC_SIMD_CAT_(a, b) a##_##b
+#define MFC_SIMD_CAT(a, b) MFC_SIMD_CAT_(a, b)
+#define MFC_SIMD_PER_ISA(name) MFC_SIMD_CAT(name, MFC_SIMD_NS)
+#define MFC_SIMD_BY_WIDTH(fn) {{&fn<1>, &fn<2>, &fn<4>, &fn<8>}}
+#if MFC_SIMD_MULTI_ISA
+#define MFC_SIMD_DECLARE_BY_ISA(Table, name)                                   \
+    extern const Table name##_isa_baseline;                                    \
+    extern const Table name##_isa_x86_64_v3;                                   \
+    extern const Table name##_isa_x86_64_v4;                                   \
+    inline constexpr ::mfc::simd::ByIsa<Table> name = {                        \
+        &name##_isa_baseline, &name##_isa_x86_64_v3, &name##_isa_x86_64_v4}
+#else
+#define MFC_SIMD_DECLARE_BY_ISA(Table, name)                                   \
+    extern const Table name##_isa_baseline;                                    \
+    inline constexpr ::mfc::simd::ByIsa<Table> name = {&name##_isa_baseline,   \
+                                                       nullptr, nullptr}
+#endif
+
+namespace mfc::simd {
+inline namespace MFC_SIMD_NS {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define MFC_SIMD_VECTOR_EXT 1
@@ -358,16 +455,5 @@ template <> inline void store_strided(vd<1> v, double* p, std::ptrdiff_t) {
     v.store(p);
 }
 
-/// Invoke fn with an integral_constant<int, W> for the current dispatch
-/// width. Kernels call this once per sweep:
-///   simd::dispatch([&](auto wc) { sweep<wc()>(...); });
-template <class Fn> decltype(auto) dispatch(Fn&& fn) {
-    switch (width()) {
-    case 8: return fn(std::integral_constant<int, 8>{});
-    case 4: return fn(std::integral_constant<int, 4>{});
-    case 2: return fn(std::integral_constant<int, 2>{});
-    default: return fn(std::integral_constant<int, 1>{});
-    }
-}
-
+} // inline namespace MFC_SIMD_NS
 } // namespace mfc::simd

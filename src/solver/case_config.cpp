@@ -149,6 +149,11 @@ public:
         const auto it = dict_.find(key);
         if (it == dict_.end()) return fallback;
         const double v = it->second.as_double();
+        // NaN slips past every range check below (all comparisons are
+        // false), and inf is never a meaningful parameter.
+        MFC_REQUIRE(std::isfinite(v), "case parameter '" + key +
+                                          "' must be finite (got " +
+                                          it->second.to_string() + ")");
         dict_.erase(it);
         return v;
     }

@@ -7,185 +7,32 @@
 
 #include "exec/exec.hpp"
 #include "numerics/riemann.hpp"
-#include "numerics/vec_igr.hpp"
-#include "numerics/vec_riemann.hpp"
-#include "numerics/vec_weno.hpp"
 #include "numerics/weno.hpp"
 #include "physics/characteristics.hpp"
 #include "physics/flux.hpp"
-#include "physics/vec_kernels.hpp"
 #include "prof/prof.hpp"
 #include "simd/simd.hpp"
+#include "solver/rhs_kernels.hpp"
+#include "solver/rhs_rows.hpp"
 
 namespace mfc {
 
+namespace rhs_zone {
+const char* const weno[3] = {"weno_x", "weno_y", "weno_z"};
+const char* const igr[3] = {"igr_x", "igr_y", "igr_z"};
+const char* const prim_convert = "prim_convert";
+const char* const igr_sigma = "igr_sigma";
+const char* const weno_recon = "weno_recon";
+const char* const riemann = "riemann";
+const char* const flux_div = "flux_div";
+} // namespace rhs_zone
+
 namespace {
 
-constexpr int kMaxEqns = 16;
+using namespace rhs_rows;
 
-// Segment-timing sample stride: every kSampleStride-th pencil row is
-// timed and the per-chunk credit scaled by rows/sampled (rows within a
-// sweep do identical work). Power of two so the row test is a mask.
-constexpr long long kSampleStride = 4;
-
-/// Number of multiples of kSampleStride in [lo, hi), i.e. how many rows
-/// of the chunk carry timestamps.
-long long sampled_rows(long long lo, long long hi) {
-    const long long k = kSampleStride;
-    return (hi + k - 1) / k - (lo + k - 1) / k;
-}
-
-/// Scale a sampled segment total up to the whole chunk, then clamp the
-/// estimates so they sum to no more than the chunk's measured wall time:
-/// the sampled rows may be slower than average (row 0 is cache-cold), and
-/// bulk-crediting children beyond the parent zone's elapsed time would
-/// drive the parent's exclusive share negative.
-void credit_scaled(const char* const* names, std::int64_t* ns, int count,
-                   long long chunk_rows, long long sampled,
-                   std::int64_t chunk_ns) {
-    const double scale =
-        static_cast<double>(chunk_rows) / std::max<long long>(1, sampled);
-    double sum = 0.0;
-    for (int i = 0; i < count; ++i) sum += static_cast<double>(ns[i]) * scale;
-    const double cap =
-        sum > static_cast<double>(chunk_ns) && sum > 0.0
-            ? static_cast<double>(chunk_ns) / sum
-            : 1.0;
-    for (int i = 0; i < count; ++i) {
-        prof::add_child_ns(names[i],
-                           static_cast<std::int64_t>(
-                               static_cast<double>(ns[i]) * scale * cap),
-                           chunk_rows);
-    }
-}
-
-// Per-direction zone names (string literals: prof keys them by pointer).
-constexpr const char* kWenoZone[3] = {"weno_x", "weno_y", "weno_z"};
-constexpr const char* kIgrZone[3] = {"igr_x", "igr_y", "igr_z"};
 constexpr const char* kViscousZone[3] = {"viscous_x", "viscous_y",
                                          "viscous_z"};
-
-int extent_along(const Extents& e, int dim) {
-    return dim == 0 ? e.nx : dim == 1 ? e.ny : e.nz;
-}
-
-bool active(const Extents& e, int dim) { return extent_along(e, dim) > 1; }
-
-/// (i, j, k) of row-local cell `c` for a sweep along `dim` with
-/// transverse indices (t1, t2) — t1 is the fast transverse index.
-void cell_of(int dim, int c, int t1, int t2, int& i, int& j, int& k) {
-    switch (dim) {
-    case 0: i = c; j = t1; k = t2; return;
-    case 1: i = t1; j = c; k = t2; return;
-    default: i = t1; j = t2; k = c; return;
-    }
-}
-
-// Transverse (y/z) sweeps stage up to exec::tile_rows() x-adjacent
-// pencils through one cache-blocked transpose tile per tile of rows
-// (compile default MFCPP_TILE_ROWS = 8, runtime-overridable via
-// MFC_TILE_ROWS; the bench records the value in its metadata). The fast
-// transverse index t1 is x for dims 1 and 2 (see cell_of), so the `b`
-// direction below walks unit-stride memory: each transpose step moves a
-// contiguous run of tile-height doubles — at the default 8, a full
-// 64-byte line — where the per-row strided gather this replaces used 8
-// of every 64 bytes fetched. Any height >= 1 is bitwise-neutral: the
-// tile only regroups pure copies.
-
-/// Tile row pitch: round `len` up so every tile row starts 64-byte-
-/// aligned within the (aligned) arena block.
-int tile_pitch(int len) { return (len + 7) / 8 * 8; }
-
-/// Transpose `tb` x-adjacent pencils of a transverse sweep into
-/// contiguous tile rows: tile[b * pitch + c] holds row-local cell c of
-/// the pencil at (t1 + b, t2), c in [0, len) starting at sweep cell c0.
-void transpose_in(const Field& src, int dim, int c0, int t1, int t2, int len,
-                  int tb, double* tile, int pitch) {
-    int i = 0, j = 0, k = 0;
-    cell_of(dim, c0, t1, t2, i, j, k);
-    const double* p = src.ptr(i, j, k);
-    const std::ptrdiff_t s = src.stride(dim);
-    for (int c = 0; c < len; ++c) {
-        const double* pc = p + c * s;
-        for (int b = 0; b < tb; ++b) tile[b * pitch + c] = pc[b];
-    }
-}
-
-/// Inverse of transpose_in: scatter `tb` contiguous tile rows back into
-/// the field, again moving whole unit-stride runs per row cell.
-void transpose_out(Field& dst, int dim, int c0, int t1, int t2, int len,
-                   int tb, const double* tile, int pitch) {
-    int i = 0, j = 0, k = 0;
-    cell_of(dim, c0, t1, t2, i, j, k);
-    double* p = dst.ptr(i, j, k);
-    const std::ptrdiff_t s = dst.stride(dim);
-    for (int c = 0; c < len; ++c) {
-        double* pc = p + c * s;
-        for (int b = 0; b < tb; ++b) pc[b] = tile[b * pitch + c];
-    }
-}
-
-/// Flux divergence + non-conservative sources for cells [c, c+W) of one
-/// pencil. `flux` is SoA over faces (flux[q * fstride + f], fstride =
-/// n + 1); `rowc` and `dqp` are per-equation pointers to contiguous
-/// pencils positioned at sweep cell c_lo — either straight into the
-/// field (x-sweeps, unit stride) or into a transpose tile row. Per cell
-/// and equation the operation sequence matches the scalar loop exactly:
-/// flux difference first (assign via 0.0 - d when `accumulate` is false,
-/// preserving the bit pattern of the former fill(0.0)-then-subtract
-/// path), then the advection du term, then the six-equation
-/// internal-energy term.
-template <int W>
-void divergence_block(const EquationLayout& lay, bool accumulate, int c,
-                      int neq, double inv_dx, const double* const* rowc,
-                      const double* flux, int fstride, const double* uface,
-                      double* const* dqp) {
-    using V = simd::vd<W>;
-    const V inv(inv_dx);
-    for (int q = 0; q < neq; ++q) {
-        const double* fq = flux + static_cast<std::size_t>(q) * fstride;
-        const V d = (V::load(fq + c + 1) - V::load(fq + c)) * inv;
-        double* dst = dqp[q] + c;
-        if (accumulate) {
-            (V::load(dst) - d).store(dst);
-        } else {
-            (V(0.0) - d).store(dst);
-        }
-    }
-    const V du = (V::load(uface + c + 1) - V::load(uface + c)) * inv;
-    for (int f2 = 0; f2 < lay.num_adv(); ++f2) {
-        const int qa = lay.adv(f2);
-        const V av = V::load(rowc[qa] + c);
-        double* dst = dqp[qa] + c;
-        (V::load(dst) + av * du).store(dst);
-    }
-    if (lay.model() == ModelKind::SixEquation) {
-        for (int f2 = 0; f2 < lay.num_fluids(); ++f2) {
-            const V a = V::load(rowc[lay.adv(f2)] + c);
-            const V p = V::load(rowc[lay.internal_energy(f2)] + c);
-            double* dst = dqp[lay.internal_energy(f2)] + c;
-            (V::load(dst) - a * p * du).store(dst);
-        }
-    }
-}
-
-/// Divergence over all n cells of a pencil: whole vectors, then a scalar
-/// (W = 1) tail over the same template — identical per-cell math.
-template <int W>
-void divergence_cells(const EquationLayout& lay, bool accumulate, int n,
-                      int neq, double inv_dx, const double* const* rowc,
-                      const double* flux, int fstride, const double* uface,
-                      double* const* dqp) {
-    int c = 0;
-    for (; c + W <= n; c += W) {
-        divergence_block<W>(lay, accumulate, c, neq, inv_dx, rowc, flux,
-                            fstride, uface, dqp);
-    }
-    for (; c < n; ++c) {
-        divergence_block<1>(lay, accumulate, c, neq, inv_dx, rowc, flux,
-                            fstride, uface, dqp);
-    }
-}
 
 } // namespace
 
@@ -238,55 +85,9 @@ void RhsEvaluator::compute_primitives(const StateArray& cons) {
 
 void RhsEvaluator::convert_primitives(const StateArray& cons, const int lo[3],
                                       const int hi[3]) {
-    PROF_ZONE("prim_convert");
-    const int neq = lay_.num_eqns();
-
-    // Rows along x parallelize over the box's (j, k) plane; within a row
-    // the conversion runs W cells per step (scalar tail at W = 1, same
-    // kernel template — bitwise identical at any width, and the per-cell
-    // conversion is position-independent, so any box partition of the
-    // extended domain produces the same values).
-    const int x0 = lo[0], y0 = lo[1], z0 = lo[2];
-    const int len_x = hi[0] - lo[0];
-    const int rows_y = hi[1] - lo[1];
-    const long long rows = static_cast<long long>(rows_y) * (hi[2] - lo[2]);
-    if (len_x <= 0 || rows <= 0) return;
-
-    simd::dispatch([&](auto wc) {
-        constexpr int W = wc();
-        exec::parallel_for("prim_convert", 0, rows,
-                           [&](long long row_lo, long long row_hi) {
-            simd::vd<W> cv[kMaxEqns];
-            simd::vd<W> pv[kMaxEqns];
-            simd::vd<1> c1[kMaxEqns];
-            simd::vd<1> p1[kMaxEqns];
-            const double* src[kMaxEqns];
-            double* dst[kMaxEqns];
-            for (long long t = row_lo; t < row_hi; ++t) {
-                const int j = y0 + static_cast<int>(t % rows_y);
-                const int k = z0 + static_cast<int>(t / rows_y);
-                for (int q = 0; q < neq; ++q) {
-                    src[q] = cons.eq(q).ptr(x0, j, k);
-                    dst[q] = prim_.eq(q).ptr(x0, j, k);
-                }
-                int i = 0;
-                for (; i + W <= len_x; i += W) {
-                    for (int q = 0; q < neq; ++q) {
-                        cv[q] = simd::vd<W>::load(src[q] + i);
-                    }
-                    cons_to_prim_v<W>(lay_, fluids_, cv, pv);
-                    for (int q = 0; q < neq; ++q) pv[q].store(dst[q] + i);
-                }
-                for (; i < len_x; ++i) {
-                    for (int q = 0; q < neq; ++q) {
-                        c1[q] = simd::vd<1>::load(src[q] + i);
-                    }
-                    cons_to_prim_v<1>(lay_, fluids_, c1, p1);
-                    for (int q = 0; q < neq; ++q) p1[q].store(dst[q] + i);
-                }
-            }
-        });
-    });
+    PROF_ZONE(rhs_zone::prim_convert);
+    simd::dispatch(kRhsKernels, &RhsKernels::convert_primitives)(
+        context(), cons, prim_, lo, hi);
 }
 
 void RhsEvaluator::evaluate(const StateArray& cons, StateArray& dq) {
@@ -304,7 +105,7 @@ void RhsEvaluator::evaluate(const StateArray& cons, StateArray& dq) {
     if (igr_.enabled) compute_igr_sigma();
     for (int d = 0; d < 3; ++d) {
         if (!active(local_, d)) continue;
-        prof::Zone zone(igr_.enabled ? kIgrZone[d] : kWenoZone[d]);
+        prof::Zone zone(igr_.enabled ? rhs_zone::igr[d] : rhs_zone::weno[d]);
         sweep_span(d, full_span(d), dq, accumulate);
         accumulate = true;
     }
@@ -319,15 +120,13 @@ void RhsEvaluator::evaluate(const StateArray& cons, StateArray& dq) {
 void RhsEvaluator::sweep_span(int dim, const SweepSpan& span, StateArray& dq,
                               bool accumulate) {
     if (span.empty()) return;
-    if (igr_.enabled) {
-        simd::dispatch(
-            [&](auto wc) { sweep_igr_w<wc()>(dim, span, dq, accumulate); });
-    } else if (char_decomp_) {
+    if (char_decomp_ && !igr_.enabled) {
         sweep_weno_char(dim, span, dq, accumulate);
-    } else {
-        simd::dispatch(
-            [&](auto wc) { sweep_weno_w<wc()>(dim, span, dq, accumulate); });
+        return;
     }
+    simd::dispatch(kRhsKernels, igr_.enabled ? &RhsKernels::sweep_igr
+                                             : &RhsKernels::sweep_weno)(
+        context(), dim, span, dq, accumulate);
 }
 
 SweepSpan RhsEvaluator::full_span(int dim) const {
@@ -536,303 +335,6 @@ void RhsEvaluator::add_body_forces(StateArray& dq) {
     }
 }
 
-template <int W>
-void RhsEvaluator::sweep_weno_w(int dim, const SweepSpan& span, StateArray& dq,
-                                bool accumulate) {
-    using V = simd::vd<W>;
-    const int n = span.c_hi - span.c_lo;
-    const int neq = lay_.num_eqns();
-    const int r = (weno_order_ - 1) / 2;
-    const double inv_dx = 1.0 / dx(dim);
-
-    const int span1 = span.t1_hi - span.t1_lo; // fast transverse
-    const int span2 = span.t2_hi - span.t2_lo;
-
-    // Pencil geometry: edge reconstruction covers cells
-    // [c_lo - 1, c_hi], so each pencil spans cells
-    // [c_lo - 1 - r, c_hi + r] — exactly the ghost depth the hyperbolic
-    // stencil requested when the span touches the block face. row_at(c)
-    // indexes a row-local cell by its *global* (block-local) coordinate.
-    // x-sweeps read the pencil in place: field rows are SoA-contiguous
-    // along x, so rowp[q] points straight at the backing store and the
-    // divergence writes dq the same way — zero gather/scatter. y/z
-    // sweeps stage tile_rows() pencils at a time through a transpose tile.
-    const int row_len = n + 2 * r + 2;
-    const int row0 = span.c_lo - 1 - r;
-    const auto row_at = [row0](int c) { return c - row0; };
-    // Edge values live in SoA rows over the cell slots [0, n+2) (slot
-    // s holds cell c_lo + s - 1) and fluxes in SoA rows over the faces
-    // [c_lo, c_hi] (slot f holds face c_lo + f), so reconstruction, the
-    // Riemann solve, and the divergence all stream W contiguous slots per
-    // step. Scalar tails reuse the same templates at W = 1 — bitwise
-    // identical at any width.
-    const int ncells = n + 2;
-    const int nfaces = n + 1;
-
-    // Per-row scoped zones would breach the profiler's overhead budget
-    // (clock reads plus tree bookkeeping per microsecond-scale row), so
-    // the row phases are timed manually with shared timestamps and
-    // bulk-credited to child zones once per chunk: under the enclosing
-    // weno_{x,y,z} zone on the dispatching thread, under the worker's
-    // weno_{x,y,z} root zone elsewhere. Rows within a sweep are
-    // homogeneous, so only every kSampleStride-th row is timed and the
-    // credit is scaled up — four clock reads per row on vectorized rows
-    // is itself measurable against the <2% budget.
-    const bool timed = MFC_PROF_COMPILED != 0 && prof::enabled();
-
-    const bool direct = dim == 0; // unit-stride: read/write fields in place
-    const int tmax = direct ? 1 : exec::tile_rows();
-    const int prim_pitch = tile_pitch(row_len);
-    const int dq_pitch = tile_pitch(n);
-
-    const long long rows_total = static_cast<long long>(span1) * span2;
-    exec::parallel_for(kWenoZone[dim], 0, rows_total, [&](long long lo,
-                                                          long long hi) {
-        exec::Arena::Frame frame(exec::scratch_arena());
-        // Transpose tiles (transverse sweeps only): equation q's pencil b
-        // lives at tile + (q * tmax + b) * pitch.
-        double* prim_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   prim_pitch);
-        double* dq_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   dq_pitch);
-        // Edge values at cells [c_lo - 1, c_hi] and fluxes/velocities at
-        // the faces [c_lo, c_hi]; face f separates cells f-1 and f.
-        double* edge_left =
-            frame.doubles(static_cast<std::size_t>(ncells) * neq);
-        double* edge_right =
-            frame.doubles(static_cast<std::size_t>(ncells) * neq);
-        double* flux_row =
-            frame.doubles(static_cast<std::size_t>(nfaces) * neq);
-        double* uface_row = frame.doubles(static_cast<std::size_t>(nfaces));
-
-        std::int64_t recon_ns = 0;
-        std::int64_t riemann_ns = 0;
-        std::int64_t div_ns = 0;
-        std::int64_t chunk_t0 = 0;
-        if (timed) chunk_t0 = prof::clock_ns();
-
-        for (long long t = lo; t < hi;) {
-            const int t1 = span.t1_lo + static_cast<int>(t % span1);
-            const int t2 = span.t2_lo + static_cast<int>(t / span1);
-            // Tile height: up to tmax pencils, clipped to the t1
-            // line and to this chunk (chunks are partition-independent
-            // per-pencil work, so clipping only regroups pure copies).
-            const int tb =
-                direct ? 1
-                       : static_cast<int>(std::min<long long>(
-                             std::min<long long>(tmax, span1 - t % span1),
-                             hi - t));
-
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_in(prim_.eq(q), dim, row0, t1, t2, row_len, tb,
-                                 prim_tile + static_cast<std::size_t>(q) *
-                                                 tmax * prim_pitch,
-                                 prim_pitch);
-                }
-                if (accumulate) {
-                    for (int q = 0; q < neq; ++q) {
-                        transpose_in(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                     dq_tile + static_cast<std::size_t>(q) *
-                                                   tmax * dq_pitch,
-                                     dq_pitch);
-                    }
-                }
-            }
-
-            for (int b = 0; b < tb; ++b) {
-            const bool sample = timed && (t + b) % kSampleStride == 0;
-            std::int64_t t_start = 0;
-            std::int64_t t_mid = 0;
-            if (sample) t_start = prof::clock_ns();
-
-            // Per-equation pencil pointers: straight into the field for
-            // x-sweeps, into the transpose tile for y/z.
-            const double* rowp[kMaxEqns];
-            double* dqp[kMaxEqns];
-            if (direct) {
-                int i0 = 0, j0 = 0, k0 = 0;
-                cell_of(dim, span.c_lo, t1, t2, i0, j0, k0);
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_.eq(q).ptr(row0, t1, t2);
-                    dqp[q] = dq.eq(q).ptr(i0, j0, k0);
-                }
-            } else {
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_tile +
-                              static_cast<std::size_t>(q * tmax + b) *
-                                  prim_pitch;
-                    dqp[q] = dq_tile + static_cast<std::size_t>(q * tmax + b) *
-                                           dq_pitch;
-                }
-            }
-
-            // Edge reconstruction for cells [c_lo - 1, c_hi] (slots
-            // [0, ncells)), W cells per step straight off the contiguous
-            // pencil: slot s is cell c_lo + s - 1, whose stencil center
-            // sits at row index s + r.
-            for (int q = 0; q < neq; ++q) {
-                const double* rq = rowp[q];
-                double* el = edge_left + static_cast<std::size_t>(q) * ncells;
-                double* er = edge_right + static_cast<std::size_t>(q) * ncells;
-                int s = 0;
-                for (; s + W <= ncells; s += W) {
-                    V l, rt;
-                    weno_edges_v<W>(rq + s + r, weno_order_, weno_eps_, l, rt,
-                                    weno_variant_);
-                    l.store(el + s);
-                    rt.store(er + s);
-                }
-                for (; s < ncells; ++s) {
-                    simd::vd<1> l, rt;
-                    weno_edges_v<1>(rq + s + r, weno_order_, weno_eps_, l, rt,
-                                    weno_variant_);
-                    l.store(el + s);
-                    rt.store(er + s);
-                }
-            }
-
-            // Positivity safeguard: at severely under-resolved fronts
-            // high-order edge values can undershoot into negative density
-            // or pressure; fall back to the (positive) cell average for
-            // this cell, preserving design order where the solution is
-            // resolved. For stiffened fluids the physical bound is
-            // p > -pi_inf of the mixture (c^2 > 0), not p > 0. The
-            // scalar if becomes a mask + select per equation.
-            const auto positivity_block = [&](auto wtag, int s) {
-                constexpr int BW = decltype(wtag)::value;
-                using BV = simd::vd<BW>;
-                BV rho_l = 0.0, rho_r = 0.0;
-                for (int f = 0; f < lay_.num_fluids(); ++f) {
-                    const auto co = static_cast<std::size_t>(lay_.cont(f)) *
-                                    ncells;
-                    rho_l += BV::load(edge_left + co + s);
-                    rho_r += BV::load(edge_right + co + s);
-                }
-                BV eL[kMaxEqns], eR[kMaxEqns];
-                for (int f = 0; f < lay_.num_adv(); ++f) {
-                    const auto ao = static_cast<std::size_t>(lay_.adv(f)) *
-                                    ncells;
-                    eL[lay_.adv(f)] = BV::load(edge_left + ao + s);
-                    eR[lay_.adv(f)] = BV::load(edge_right + ao + s);
-                }
-                const auto eo = static_cast<std::size_t>(lay_.energy()) *
-                                ncells;
-                eL[lay_.energy()] = BV::load(edge_left + eo + s);
-                eR[lay_.energy()] = BV::load(edge_right + eo + s);
-                const MixtureV<BW> mL = mixture_at_v<BW>(lay_, fluids_, eL);
-                const MixtureV<BW> mR = mixture_at_v<BW>(lay_, fluids_, eR);
-                const auto ok_l = (eL[lay_.energy()] + mL.pi_inf()) > BV(0.0);
-                const auto ok_r = (eR[lay_.energy()] + mR.pi_inf()) > BV(0.0);
-                const auto bad = rho_l <= BV(0.0) || rho_r <= BV(0.0) ||
-                                 !ok_l || !ok_r;
-                if (!simd::any(bad)) return;
-                for (int q = 0; q < neq; ++q) {
-                    const BV v = BV::load(rowp[q] + s + r);
-                    double* el =
-                        edge_left + static_cast<std::size_t>(q) * ncells + s;
-                    double* er =
-                        edge_right + static_cast<std::size_t>(q) * ncells + s;
-                    simd::select(bad, v, BV::load(el)).store(el);
-                    simd::select(bad, v, BV::load(er)).store(er);
-                }
-            };
-            {
-                int s = 0;
-                for (; s + W <= ncells; s += W) {
-                    positivity_block(std::integral_constant<int, W>{}, s);
-                }
-                for (; s < ncells; ++s) {
-                    positivity_block(std::integral_constant<int, 1>{}, s);
-                }
-            }
-
-            std::int64_t t_recon = 0;
-            if (sample) {
-                t_recon = prof::clock_ns();
-                recon_ns += t_recon - t_start;
-            }
-
-            // Riemann fluxes at faces [c_lo, c_hi], W faces per step.
-            // Face slot f is face c_lo + f, separating cell slots f and
-            // f + 1: its left state is the right edge at slot f and its
-            // right state the left edge at slot f + 1.
-            {
-                V pl[kMaxEqns], pr[kMaxEqns], fx[kMaxEqns];
-                simd::vd<1> pl1[kMaxEqns], pr1[kMaxEqns], fx1[kMaxEqns];
-                int f = 0;
-                for (; f + W <= nfaces; f += W) {
-                    for (int q = 0; q < neq; ++q) {
-                        const auto qo = static_cast<std::size_t>(q) * ncells;
-                        pl[q] = V::load(edge_right + qo + f);
-                        pr[q] = V::load(edge_left + qo + f + 1);
-                    }
-                    const V uf = solve_riemann_v<W>(riemann_, lay_, fluids_,
-                                                    pl, pr, dim, fx);
-                    for (int q = 0; q < neq; ++q) {
-                        fx[q].store(flux_row +
-                                    static_cast<std::size_t>(q) * nfaces + f);
-                    }
-                    uf.store(uface_row + f);
-                }
-                for (; f < nfaces; ++f) {
-                    for (int q = 0; q < neq; ++q) {
-                        const auto qo = static_cast<std::size_t>(q) * ncells;
-                        pl1[q] = simd::vd<1>::load(edge_right + qo + f);
-                        pr1[q] = simd::vd<1>::load(edge_left + qo + f + 1);
-                    }
-                    const simd::vd<1> uf = solve_riemann_v<1>(
-                        riemann_, lay_, fluids_, pl1, pr1, dim, fx1);
-                    for (int q = 0; q < neq; ++q) {
-                        fx1[q].store(flux_row +
-                                     static_cast<std::size_t>(q) * nfaces + f);
-                    }
-                    uf.store(uface_row + f);
-                }
-            }
-            if (sample) {
-                t_mid = prof::clock_ns();
-                riemann_ns += t_mid - t_recon;
-            }
-
-            // Flux divergence and non-conservative sources, written
-            // through the per-equation pencil pointers (contiguous in
-            // both the direct and the tiled case).
-            {
-                const double* rowc[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    rowc[q] = rowp[q] + row_at(span.c_lo);
-                }
-                divergence_cells<W>(lay_, accumulate, n, neq, inv_dx, rowc,
-                                    flux_row, nfaces, uface_row, dqp);
-            }
-            if (sample) div_ns += prof::clock_ns() - t_mid;
-            } // for b
-
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_out(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                  dq_tile + static_cast<std::size_t>(q) *
-                                                tmax * dq_pitch,
-                                  dq_pitch);
-                }
-            }
-            t += tb;
-        }
-
-        if (timed && hi > lo) {
-            const char* names[3] = {"weno_recon", "riemann", "flux_div"};
-            std::int64_t ns[3] = {recon_ns, riemann_ns, div_ns};
-            credit_scaled(names, ns, 3, hi - lo, sampled_rows(lo, hi),
-                          prof::clock_ns() - chunk_t0);
-        }
-    });
-}
-
 void RhsEvaluator::sweep_weno_char(int dim, const SweepSpan& span,
                                    StateArray& dq, bool accumulate) {
     const int n = span.c_hi - span.c_lo;
@@ -856,7 +358,7 @@ void RhsEvaluator::sweep_weno_char(int dim, const SweepSpan& span,
     const int dq_pitch = tile_pitch(n);
 
     const long long rows_total = static_cast<long long>(span1) * span2;
-    exec::parallel_for(kWenoZone[dim], 0, rows_total, [&](long long lo,
+    exec::parallel_for(rhs_zone::weno[dim], 0, rows_total, [&](long long lo,
                                                           long long hi) {
         exec::Arena::Frame frame(exec::scratch_arena());
         double* prim_tile =
@@ -1033,7 +535,7 @@ void RhsEvaluator::sweep_weno_char(int dim, const SweepSpan& span,
         }
 
         if (timed && hi > lo) {
-            const char* names[2] = {"char_riemann", "flux_div"};
+            const char* names[2] = {"char_riemann", rhs_zone::flux_div};
             std::int64_t ns[2] = {recon_ns, div_ns};
             credit_scaled(names, ns, 2, hi - lo, sampled_rows(lo, hi),
                           prof::clock_ns() - chunk_t0);
@@ -1046,263 +548,18 @@ void RhsEvaluator::compute_igr_sigma() {
     // velocity gradients; ghost layers supply the one-sided neighbors.
     // Rows along x run W cells per step (ghosts make every i±1 read
     // valid); the scalar tail reuses the same expressions at W = 1.
-    PROF_ZONE("igr_sigma");
-    const double alf = igr_.alf_factor * dx(0) * dx(0);
-    const long long rows = static_cast<long long>(local_.ny) * local_.nz;
-    simd::dispatch([&](auto wc) {
-        constexpr int W = wc();
-        exec::parallel_for("igr_sigma", 0, rows, [&](long long lo,
-                                                     long long hi) {
-            for (long long t = lo; t < hi; ++t) {
-                const int j = static_cast<int>(t % local_.ny);
-                const int k = static_cast<int>(t / local_.ny);
-
-                const auto block = [&](auto wtag, int i) {
-                    constexpr int BW = decltype(wtag)::value;
-                    using BV = simd::vd<BW>;
-                    BV grad[3][3];
-                    for (auto& row : grad) {
-                        row[0] = 0.0;
-                        row[1] = 0.0;
-                        row[2] = 0.0;
-                    }
-                    for (int a = 0; a < lay_.dims(); ++a) {
-                        const Field& u = prim_.eq(lay_.mom(a));
-                        if (active(local_, 0)) {
-                            const double* ux = u.ptr(0, j, k);
-                            grad[a][0] = (BV::load(ux + i + 1) -
-                                          BV::load(ux + i - 1)) /
-                                         BV(2.0 * dx(0));
-                        }
-                        if (active(local_, 1)) {
-                            grad[a][1] = (BV::load(u.ptr(i, j + 1, k)) -
-                                          BV::load(u.ptr(i, j - 1, k))) /
-                                         BV(2.0 * dx(1));
-                        }
-                        if (active(local_, 2)) {
-                            grad[a][2] = (BV::load(u.ptr(i, j, k + 1)) -
-                                          BV::load(u.ptr(i, j, k - 1))) /
-                                         BV(2.0 * dx(2));
-                        }
-                    }
-                    BV div = 0.0;
-                    BV contraction = 0.0;
-                    for (int a = 0; a < 3; ++a) {
-                        div += grad[a][a];
-                        for (int b = 0; b < 3; ++b) {
-                            contraction += grad[a][b] * grad[b][a];
-                        }
-                    }
-                    BV rho = 0.0;
-                    for (int f = 0; f < lay_.num_fluids(); ++f) {
-                        rho += BV::load(prim_.eq(lay_.cont(f)).ptr(i, j, k));
-                    }
-                    const BV out = BV(alf) * rho * (div * div + contraction);
-                    out.store(igr_source_.ptr(i, j, k));
-                };
-
-                int i = 0;
-                for (; i + W <= local_.nx; i += W) {
-                    block(std::integral_constant<int, W>{}, i);
-                }
-                for (; i < local_.nx; ++i) {
-                    block(std::integral_constant<int, 1>{}, i);
-                }
-            }
-        });
-    });
+    PROF_ZONE(rhs_zone::igr_sigma);
+    simd::dispatch(kRhsKernels, &RhsKernels::igr_source)(context(),
+                                                          igr_source_);
     igr_elliptic_solve(igr_, igr_source_, dx(0), sigma_warm_, sigma_,
                        rank_iface_, sigma_exchange_);
     sigma_warm_ = true;
 }
 
-template <int W>
-void RhsEvaluator::sweep_igr_w(int dim, const SweepSpan& span, StateArray& dq,
-                               bool accumulate) {
-    const int n = span.c_hi - span.c_lo;
-    const int n_full = extent_along(local_, dim);
-    const int neq = lay_.num_eqns();
-    const double inv_dx = 1.0 / dx(dim);
-
-    const int span1 = span.t1_hi - span.t1_lo;
-    const int span2 = span.t2_hi - span.t2_lo;
-
-    // Face interpolation at order >= 5 reaches cells [f-2, f+1] for the
-    // faces [c_lo, c_hi]: the gathered pencil spans cells
-    // [c_lo - 2, c_hi + 1].
-    const int row_len = n + 4;
-    const int row0 = span.c_lo - 2;
-    const auto row_at = [row0](int c) { return c - row0; };
-    const int nfaces = n + 1;
-
-    const bool direct = dim == 0;
-    const int tmax = direct ? 1 : exec::tile_rows();
-    const int prim_pitch = tile_pitch(row_len);
-    const int dq_pitch = tile_pitch(n);
-
-    const long long rows_total = static_cast<long long>(span1) * span2;
-    exec::parallel_for(kIgrZone[dim], 0, rows_total, [&](long long lo,
-                                                         long long hi) {
-        exec::Arena::Frame frame(exec::scratch_arena());
-        double* prim_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   prim_pitch);
-        double* dq_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   dq_pitch);
-        // Sigma at cells [c_lo - 1, c_hi]: clamped to the interior at
-        // global boundaries (homogeneous Neumann, consistent with the
-        // elliptic solve), read from the exchanged rank ghost at
-        // decomposition interfaces — serial and decomposed runs then see
-        // the same face averages bitwise.
-        double* sig_row = frame.doubles(static_cast<std::size_t>(n + 2));
-        double* flux_row =
-            frame.doubles(static_cast<std::size_t>(nfaces) * neq);
-        double* uface_row = frame.doubles(static_cast<std::size_t>(nfaces));
-
-        for (long long t = lo; t < hi;) {
-            const int t1 = span.t1_lo + static_cast<int>(t % span1);
-            const int t2 = span.t2_lo + static_cast<int>(t / span1);
-            const int tb =
-                direct ? 1
-                       : static_cast<int>(std::min<long long>(
-                             std::min<long long>(tmax, span1 - t % span1),
-                             hi - t));
-
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_in(prim_.eq(q), dim, row0, t1, t2, row_len, tb,
-                                 prim_tile + static_cast<std::size_t>(q) *
-                                                 tmax * prim_pitch,
-                                 prim_pitch);
-                }
-                if (accumulate) {
-                    for (int q = 0; q < neq; ++q) {
-                        transpose_in(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                     dq_tile + static_cast<std::size_t>(q) *
-                                                   tmax * dq_pitch,
-                                     dq_pitch);
-                    }
-                }
-            }
-
-            for (int b = 0; b < tb; ++b) {
-            const double* rowp[kMaxEqns];
-            double* dqp[kMaxEqns];
-            if (direct) {
-                int i0 = 0, j0 = 0, k0 = 0;
-                cell_of(dim, span.c_lo, t1, t2, i0, j0, k0);
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_.eq(q).ptr(row0, t1, t2);
-                    dqp[q] = dq.eq(q).ptr(i0, j0, k0);
-                }
-            } else {
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_tile +
-                              static_cast<std::size_t>(q * tmax + b) *
-                                  prim_pitch;
-                    dqp[q] = dq_tile + static_cast<std::size_t>(q * tmax + b) *
-                                           dq_pitch;
-                }
-            }
-            const int sig_lo = rank_iface_[static_cast<std::size_t>(dim)][0]
-                                   ? -1
-                                   : 0;
-            const int sig_hi = rank_iface_[static_cast<std::size_t>(dim)][1]
-                                   ? n_full
-                                   : n_full - 1;
-            for (int c = span.c_lo - 1; c <= span.c_hi; ++c) {
-                int i = 0, j = 0, k = 0;
-                cell_of(dim, std::clamp(c, sig_lo, sig_hi), t1 + b, t2, i, j,
-                        k);
-                sig_row[c - span.c_lo + 1] = sigma_(i, j, k);
-            }
-
-            // Face loop, W faces per step (slot f is face c_lo + f):
-            // central interpolation of the primitives, entropic pressure
-            // on the face energy, then the shared central-flux + Rusanov
-            // kernel.
-            const auto face_block = [&](auto wtag, int f) {
-                constexpr int BW = decltype(wtag)::value;
-                using BV = simd::vd<BW>;
-                BV pface[kMaxEqns], pl[kMaxEqns], pr[kMaxEqns];
-                BV fx[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    const double* base = rowp[q] + row_at(span.c_lo + f);
-                    if (igr_.order >= 5) {
-                        pface[q] = (-BV::load(base - 2) +
-                                    BV(7.0) * BV::load(base - 1) +
-                                    BV(7.0) * BV::load(base) -
-                                    BV::load(base + 1)) /
-                                   BV(12.0);
-                    } else {
-                        pface[q] = BV(0.5) *
-                                   (BV::load(base - 1) + BV::load(base));
-                    }
-                    pl[q] = BV::load(base - 1);
-                    pr[q] = BV::load(base);
-                }
-                const BV sig = BV(0.5) * (BV::load(sig_row + f) +
-                                          BV::load(sig_row + f + 1));
-                pface[lay_.energy()] += sig;
-                const BV uf = igr_face_flux_v<BW>(lay_, fluids_, pface, pl,
-                                                  pr, dim, fx);
-                for (int q = 0; q < neq; ++q) {
-                    fx[q].store(flux_row + static_cast<std::size_t>(q) * nfaces +
-                                f);
-                }
-                uf.store(uface_row + f);
-            };
-            {
-                int f = 0;
-                for (; f + W <= nfaces; f += W) {
-                    face_block(std::integral_constant<int, W>{}, f);
-                }
-                for (; f < nfaces; ++f) {
-                    face_block(std::integral_constant<int, 1>{}, f);
-                }
-            }
-
-            {
-                const double* rowc[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    rowc[q] = rowp[q] + row_at(span.c_lo);
-                }
-                divergence_cells<W>(lay_, accumulate, n, neq, inv_dx, rowc,
-                                    flux_row, nfaces, uface_row, dqp);
-            }
-            } // for b
-
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_out(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                  dq_tile + static_cast<std::size_t>(q) *
-                                                tmax * dq_pitch,
-                                  dq_pitch);
-                }
-            }
-            t += tb;
-        }
-    });
+RhsContext RhsEvaluator::context() const {
+    return RhsContext{lay_,   fluids_,     local_,      dx_,
+                      prim_,  sigma_,      igr_,        rank_iface_,
+                      weno_order_, weno_eps_, weno_variant_, riemann_};
 }
-
-template void RhsEvaluator::sweep_weno_w<1>(int, const SweepSpan&, StateArray&,
-                                            bool);
-template void RhsEvaluator::sweep_weno_w<2>(int, const SweepSpan&, StateArray&,
-                                            bool);
-template void RhsEvaluator::sweep_weno_w<4>(int, const SweepSpan&, StateArray&,
-                                            bool);
-template void RhsEvaluator::sweep_weno_w<8>(int, const SweepSpan&, StateArray&,
-                                            bool);
-template void RhsEvaluator::sweep_igr_w<1>(int, const SweepSpan&, StateArray&,
-                                           bool);
-template void RhsEvaluator::sweep_igr_w<2>(int, const SweepSpan&, StateArray&,
-                                           bool);
-template void RhsEvaluator::sweep_igr_w<4>(int, const SweepSpan&, StateArray&,
-                                           bool);
-template void RhsEvaluator::sweep_igr_w<8>(int, const SweepSpan&, StateArray&,
-                                           bool);
 
 } // namespace mfc

@@ -11,6 +11,8 @@
 
 namespace mfc {
 
+struct RhsContext;
+
 /// Sub-range of one directional sweep: cells [c_lo, c_hi) along the sweep
 /// dimension, pencils [t1_lo, t1_hi) x [t2_lo, t2_hi) transverse to it
 /// (t1 is the fast transverse index: y for an x-sweep, x otherwise).
@@ -117,23 +119,20 @@ public:
 
 private:
     void compute_primitives(const StateArray& cons);
-    /// Hyperbolic sweeps run as fused pencil kernels: each row is
-    /// gathered once into contiguous SoA buffers, then reconstruction,
-    /// Riemann fluxes, and the divergence run in-row, W cells/faces at a
-    /// time through the simd layer (W chosen at runtime by
-    /// simd::dispatch; lanes map 1:1 to cells, so every width is bitwise
-    /// identical — see docs/performance.md). With `accumulate` false the
-    /// flux divergence *writes* dq (the first active sweep needs no
-    /// pre-zeroed dq); later sweeps accumulate. The characteristic-wise
-    /// WENO path keeps its own scalar implementation.
-    template <int W>
-    void sweep_weno_w(int dim, const SweepSpan& span, StateArray& dq,
-                      bool accumulate);
+    /// The evaluator state the per-level sweep kernels read
+    /// (rhs_kernels.hpp). The component-wise WENO and IGR sweeps run as
+    /// fused pencil kernels compiled once per ISA level and reached
+    /// through simd::dispatch: each row is gathered once into contiguous
+    /// SoA buffers, then reconstruction, Riemann fluxes, and the
+    /// divergence run in-row, W cells/faces at a time (lanes map 1:1 to
+    /// cells, so every level and width is bitwise identical — see
+    /// docs/performance.md). With `accumulate` false the flux divergence
+    /// *writes* dq (the first active sweep needs no pre-zeroed dq); later
+    /// sweeps accumulate. The characteristic-wise WENO path keeps its own
+    /// scalar implementation.
+    [[nodiscard]] RhsContext context() const;
     void sweep_weno_char(int dim, const SweepSpan& span, StateArray& dq,
                          bool accumulate);
-    template <int W>
-    void sweep_igr_w(int dim, const SweepSpan& span, StateArray& dq,
-                     bool accumulate);
     void sweep_viscous(int dim, StateArray& dq);
     void add_body_forces(StateArray& dq);
     void add_monopole_sources(StateArray& dq);

@@ -34,7 +34,12 @@ std::string GoldenFile::serialize() const {
     std::string out;
     for (const Entry& e : entries_) {
         out += e.first;
-        for (const double v : e.second) {
+        for (std::size_t i = 0; i < e.second.size(); ++i) {
+            const double v = e.second[i];
+            MFC_REQUIRE(std::isfinite(v),
+                        "GoldenFile: refusing to write non-finite value " +
+                            format_sci(v) + " at '" + e.first + "'[" +
+                            std::to_string(i) + "]");
             out += ' ';
             out += format_sci(v);
         }
@@ -62,9 +67,10 @@ GoldenFile GoldenFile::parse(const std::string& text) {
 }
 
 void GoldenFile::save(const std::string& path) const {
+    const std::string text = serialize(); // before the file is touched
     std::ofstream out(path);
     MFC_REQUIRE(out.good(), "GoldenFile: cannot write " + path);
-    out << serialize();
+    out << text;
 }
 
 GoldenFile GoldenFile::load(const std::string& path) {
@@ -98,6 +104,18 @@ CompareResult compare_golden(const GoldenFile& reference,
             continue;
         }
         for (std::size_t i = 0; i < ref.size(); ++i) {
+            // A non-finite value on either side is a mismatch: NaN makes
+            // every error comparison below false, so it would pass.
+            if (!std::isfinite(cur[i]) || !std::isfinite(ref[i])) {
+                r.ok = false;
+                ++r.mismatched_values;
+                if (r.message.empty()) {
+                    r.message = "'" + name + "'[" + std::to_string(i) +
+                                "]: non-finite " + format_sci(ref[i]) +
+                                " vs " + format_sci(cur[i]);
+                }
+                continue;
+            }
             const double abs_err = std::abs(cur[i] - ref[i]);
             const double denom = std::abs(ref[i]);
             const double rel_err = denom > 0.0 ? abs_err / denom

@@ -23,6 +23,8 @@ public:
     [[nodiscard]] const std::vector<double>& values(const std::string& name) const;
     void add(std::string name, std::vector<double> values);
 
+    /// Throws mfc::Error on a non-finite value: a golden records a
+    /// validated solution, and a NaN reference would accept anything.
     [[nodiscard]] std::string serialize() const;
     [[nodiscard]] static GoldenFile parse(const std::string& text);
 
@@ -34,8 +36,8 @@ private:
 };
 
 /// Result of a golden comparison, reporting where tolerances were
-/// exceeded. A value fails only when BOTH its absolute and relative
-/// errors exceed their thresholds — the default 1e-12 reflecting
+/// exceeded. A value fails when either side is non-finite, or when BOTH
+/// its absolute and relative errors exceed their thresholds — the default 1e-12 reflecting
 /// floating-point round-off and non-IEEE-754-compliant optimized
 /// arithmetic (Section 4.2).
 struct CompareResult {

@@ -57,7 +57,13 @@ TestOutcome TestSuite::run_case(const TestCaseDef& def, TestMode mode) const {
     switch (mode) {
     case TestMode::Generate: {
         fs::create_directories(fs::path(gpath).parent_path());
-        current.save(gpath);
+        try {
+            current.save(gpath);
+        } catch (const Error& e) {
+            out.passed = false;
+            out.detail = e.what();
+            return out;
+        }
         std::ofstream meta(metadata_path(def.uuid));
         meta << golden_metadata(def.uuid, def.trace, canonical_dict(def.params));
         out.passed = true;
@@ -71,7 +77,13 @@ TestOutcome TestSuite::run_case(const TestCaseDef& def, TestMode mode) const {
             return out;
         }
         const GoldenFile merged = add_new_variables(GoldenFile::load(gpath), current);
-        merged.save(gpath);
+        try {
+            merged.save(gpath);
+        } catch (const Error& e) {
+            out.passed = false;
+            out.detail = e.what();
+            return out;
+        }
         out.passed = true;
         out.detail = "updated";
         return out;

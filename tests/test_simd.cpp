@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,12 +120,18 @@ TEST(Simd, StridedLoadStoreRoundTrip) {
     EXPECT_EQ(out[1], 103.0);
 }
 
+/// A one-slot kernel table whose instances report their width.
+template <int W> int report_width() { return W; }
+struct ProbeTable {
+    simd::ByWidth<int (*)()> probe;
+};
+const ProbeTable kProbe = {MFC_SIMD_BY_WIDTH(report_width)};
+
 TEST(Simd, WidthDispatchAndValidation) {
     const int prev = simd::width();
     simd::set_width(2);
-    int seen = 0;
-    simd::dispatch([&](auto wc) { seen = wc(); });
-    EXPECT_EQ(seen, 2);
+    const simd::ByIsa<ProbeTable> tables = {&kProbe, &kProbe, &kProbe};
+    EXPECT_EQ(simd::dispatch(tables, &ProbeTable::probe)(), 2);
     EXPECT_THROW(simd::set_width(3), Error);
     EXPECT_EQ(simd::width(), 2); // rejected widths leave the state alone
     simd::set_width(prev);
@@ -219,6 +226,137 @@ TEST(SimdParity, IgrJacobi) {
     c.igr.iter_solver = 1;
     c.validate();
     expect_width_parity(c);
+}
+
+// ---------------------------------------------------------------------------
+// ISA-level parity: the kernels are compiled once per instruction-set
+// level (baseline, x86-64-v3, x86-64-v4) and dispatched at runtime; every
+// supported level x width must reproduce the baseline scalar (W = 1)
+// state bitwise. Levels the host cannot run are reported as skipped.
+// ---------------------------------------------------------------------------
+
+std::vector<double> final_state_at(const CaseConfig& config, simd::Isa isa,
+                                   int width) {
+    simd::set_isa(isa);
+    return final_state(config, width);
+}
+
+class IsaParity : public ::testing::TestWithParam<simd::Isa> {
+protected:
+    void SetUp() override {
+        if (!simd::isa_supported(GetParam())) {
+            GTEST_SKIP() << simd::isa_name(GetParam())
+                         << " is not supported on this host";
+        }
+        prev_isa_ = simd::isa();
+        prev_width_ = simd::width();
+    }
+    void TearDown() override {
+        if (!simd::isa_supported(GetParam())) return;
+        simd::set_isa(prev_isa_);
+        simd::set_width(prev_width_);
+    }
+
+    void expect_parity(const CaseConfig& config) {
+        const std::vector<double> ref =
+            final_state_at(config, simd::Isa::Baseline, 1);
+        ASSERT_FALSE(ref.empty());
+        for (const int w : {1, 2, 4, 8}) {
+            const std::vector<double> got =
+                final_state_at(config, GetParam(), w);
+            ASSERT_EQ(got.size(), ref.size());
+            EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                                  ref.size() * sizeof(double)),
+                      0)
+                << simd::isa_name(GetParam()) << " width " << w
+                << " diverges from baseline width 1";
+        }
+    }
+
+private:
+    simd::Isa prev_isa_ = simd::Isa::Baseline;
+    int prev_width_ = 4;
+};
+
+TEST_P(IsaParity, FiveEquation) { expect_parity(parity_case()); }
+
+TEST_P(IsaParity, SixEquation) {
+    CaseConfig c = parity_case();
+    c.model = ModelKind::SixEquation;
+    c.validate();
+    expect_parity(c);
+}
+
+TEST_P(IsaParity, IgrJacobi) {
+    CaseConfig c = parity_case();
+    c.igr.enabled = true;
+    c.igr.order = 5;
+    c.igr.alf_factor = 10.0;
+    c.igr.num_iters = 4;
+    c.igr.num_warm_start_iters = 4;
+    c.igr.iter_solver = 1;
+    c.validate();
+    expect_parity(c);
+}
+
+TEST_P(IsaParity, CharacteristicWeno) {
+    CaseConfig c;
+    c.model = ModelKind::Euler;
+    c.num_fluids = 1;
+    c.fluids = {{1.4, 0.0}};
+    c.grid.cells = Extents{13, 11, 1};
+    c.dt = 5.0e-4;
+    c.t_step_stop = 4;
+    for (auto& b : c.bc) b = {BcType::Extrapolation, BcType::Extrapolation};
+    c.char_decomp = true;
+    Patch bg;
+    bg.alpha_rho = {1.0};
+    bg.pressure = 1.0;
+    c.patches.push_back(bg);
+    Patch blast;
+    blast.geometry = Patch::Geometry::Sphere;
+    blast.center = {0.5, 0.5, 0.5};
+    blast.radius = 0.2;
+    blast.alpha_rho = {1.0};
+    blast.pressure = 5.0;
+    c.patches.push_back(blast);
+    c.validate();
+    expect_parity(c);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, IsaParity,
+    ::testing::Values(simd::Isa::Baseline, simd::Isa::X86_64_V3,
+                      simd::Isa::X86_64_V4),
+    [](const ::testing::TestParamInfo<simd::Isa>& info) {
+        std::string name = simd::isa_name(info.param);
+        for (char& ch : name) {
+            if (ch == '-') ch = '_';
+        }
+        return name;
+    });
+
+TEST(Isa, NamesRoundTripAndUnknownNamesAreRejected) {
+    for (int l = 0; l < simd::kNumIsas; ++l) {
+        const auto isa = static_cast<simd::Isa>(l);
+        EXPECT_EQ(simd::parse_isa(simd::isa_name(isa)), isa);
+    }
+    EXPECT_THROW((void)simd::parse_isa("avx512"), Error);
+    EXPECT_TRUE(simd::isa_supported(simd::Isa::Baseline));
+    EXPECT_TRUE(simd::isa_supported(simd::isa()));
+}
+
+TEST(Isa, UnsupportedLevelIsRejectedNotReplaced) {
+    const simd::Isa prev = simd::isa();
+    bool any_missing = false;
+    for (int l = 0; l < simd::kNumIsas; ++l) {
+        const auto isa = static_cast<simd::Isa>(l);
+        if (simd::isa_supported(isa)) continue;
+        any_missing = true;
+        EXPECT_THROW(simd::set_isa(isa), Error) << simd::isa_name(isa);
+        EXPECT_EQ(simd::isa(), prev);
+    }
+    if (!any_missing) GTEST_SKIP() << "this host supports every level";
 }
 
 } // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "solver/case_config.hpp"
 
 namespace mfc {
@@ -88,6 +91,29 @@ TEST(CaseConfig, DictRoundTrip) {
 TEST(CaseConfig, UnknownKeysRejected) {
     CaseDict d = dict_from_config(standardized_benchmark_case(16));
     d["definitely_not_a_parameter"] = 1;
+    EXPECT_THROW((void)config_from_dict(d), Error);
+}
+
+TEST(CaseConfig, NonFiniteParametersRejectedByName) {
+    // NaN passes every range check in validate() (all comparisons are
+    // false), so the reader rejects non-finite values up front.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        CaseDict d = dict_from_config(standardized_benchmark_case(16));
+        ASSERT_EQ(d.count("patch2_alpha_rho1"), 1u);
+        d["patch2_alpha_rho1"] = bad;
+        try {
+            (void)config_from_dict(d);
+            ADD_FAILURE() << "accepted patch2_alpha_rho1 = " << bad;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("patch2_alpha_rho1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    CaseDict d = dict_from_config(standardized_benchmark_case(16));
+    d["dt"] = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW((void)config_from_dict(d), Error);
 }
 

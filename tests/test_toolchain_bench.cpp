@@ -1,6 +1,7 @@
 #include "core/error.hpp"
 #include <gtest/gtest.h>
 
+#include "simd/simd.hpp"
 #include "toolchain/bench_suite.hpp"
 #include "toolchain/toolchain.hpp"
 
@@ -67,6 +68,11 @@ TEST(Bench, YamlSummaryShape) {
     EXPECT_EQ(y.at("metadata").at("invocation").value().as_string(),
               "./mfc.sh bench --mem 1 -o out.yml");
     EXPECT_EQ(y.at("metadata").at("ranks").value().as_int(), 1);
+    // The ISA level and effective SIMD width the kernels ran at.
+    EXPECT_EQ(y.at("metadata").at("isa").value().as_string(),
+              simd::isa_name(simd::isa()));
+    EXPECT_EQ(y.at("metadata").at("simd_width").value().as_int(),
+              simd::width());
     for (const std::string& name : BenchSuite::case_names()) {
         ASSERT_TRUE(y.at("cases").contains(name)) << name;
         EXPECT_GT(y.at("cases").at(name).at("grindtime_ns").value().as_double(),
@@ -213,6 +219,21 @@ TEST(BenchDiff, MalformedCaseEntryDegradesToNa) {
     cand["cases"]["a"]["grindtime_ns"].set(Value(1.0));
     const std::string s = bench_diff(ref, cand).str();
     EXPECT_NE(s.find("n/a"), std::string::npos);
+}
+
+TEST(BenchDiff, HeaderShowsIsaAndWidthChanges) {
+    // A grindtime measured at another ISA level or width is a different
+    // claim: the provenance header names both sides.
+    Yaml ref, cand;
+    ref["metadata"]["isa"].set(Value(std::string("baseline")));
+    ref["metadata"]["simd_width"].set(Value(4));
+    cand["metadata"]["isa"].set(Value(std::string("x86-64-v4")));
+    cand["metadata"]["simd_width"].set(Value(8));
+    ref["cases"]["a"]["grindtime_ns"].set(Value(10.0));
+    cand["cases"]["a"]["grindtime_ns"].set(Value(7.0));
+    const std::string s = bench_diff_report(ref, cand);
+    EXPECT_NE(s.find("isa: baseline  ->  x86-64-v4"), std::string::npos) << s;
+    EXPECT_NE(s.find("simd_width: 4  ->  8"), std::string::npos) << s;
 }
 
 TEST(BenchDiff, ReportWithoutResilienceSectionsOmitsTheTable) {

@@ -1,7 +1,11 @@
 #include "core/error.hpp"
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <string>
 
 #include "toolchain/golden.hpp"
 
@@ -91,6 +95,48 @@ TEST(Compare, FailsOnlyWhenBothTolerancesExceeded) {
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.mismatched_values, 1);
     EXPECT_FALSE(r.message.empty());
+}
+
+TEST(Compare, NonFiniteCurrentValueFails) {
+    // NaN makes every error comparison false; it must still count as a
+    // mismatch against a finite reference, as must an infinity.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, inf, -inf}) {
+        GoldenFile cur;
+        cur.add("alpha_rho1", {1.0, bad, 3.0});
+        cur.add("energy", sample().values("energy"));
+        const CompareResult r = compare_golden(sample(), cur);
+        EXPECT_FALSE(r.ok) << bad;
+        EXPECT_EQ(r.mismatched_values, 1) << bad;
+        EXPECT_NE(r.message.find("alpha_rho1"), std::string::npos)
+            << r.message;
+    }
+}
+
+TEST(Compare, NonFiniteValueFailsAfterParse) {
+    // The same through the golden text format: a run's output written
+    // and re-read (e.g. `mfc run` output compared by a script) still
+    // cannot pass with NaN or inf in it, on either side.
+    const GoldenFile nan_text = GoldenFile::parse(
+        "alpha_rho1 1.0 nan 3.0\nenergy 2.5e-13 -1.0 0.0\n");
+    EXPECT_TRUE(std::isnan(nan_text.values("alpha_rho1")[1]));
+    EXPECT_FALSE(compare_golden(sample(), nan_text).ok);
+    EXPECT_FALSE(compare_golden(nan_text, sample()).ok);
+    EXPECT_FALSE(compare_golden(nan_text, nan_text).ok);
+    const GoldenFile inf_text = GoldenFile::parse(
+        "alpha_rho1 1.0 2.0 3.0\nenergy 2.5e-13 -inf 0.0\n");
+    EXPECT_FALSE(compare_golden(sample(), inf_text).ok);
+}
+
+TEST(Golden, RefusesToWriteNonFiniteValues) {
+    GoldenFile g = sample();
+    g.add("pressure", {1.0, std::numeric_limits<double>::quiet_NaN()});
+    EXPECT_THROW((void)g.serialize(), Error);
+    const std::string path = testing::TempDir() + "/golden_nan_test.txt";
+    std::remove(path.c_str());
+    EXPECT_THROW(g.save(path), Error);
+    EXPECT_FALSE(std::ifstream(path).good()); // nothing half-written
 }
 
 TEST(Compare, CustomTolerances) {

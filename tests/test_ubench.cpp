@@ -1,4 +1,5 @@
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -42,21 +43,39 @@ TEST(Ubench, EveryKernelRunsAndReportsFinitePositiveTiming) {
     }
 }
 
-TEST(Ubench, ChecksumIsWidthIndependent) {
-    // The kernels under test are the same templates the solver dispatches;
-    // their outputs must not depend on the simd width.
+TEST(Ubench, ChecksumIsLevelAndWidthIndependent) {
+    // The kernels under test are compiled per ISA level like the solver's
+    // sweeps; their outputs must not depend on the level or the width.
+    // Levels this host cannot run are reported as skipped below.
+    const simd::Isa prev_isa = simd::isa();
     const int prev = simd::width();
     const UbenchOptions o = smoke_options();
+    std::string missing;
     for (const std::string& name : ubench_kernels()) {
+        simd::set_isa(simd::Isa::Baseline);
         simd::set_width(1);
         const double scalar = run_ubench(name, o).checksum;
-        for (const int w : {2, 4, 8}) {
-            simd::set_width(w);
-            EXPECT_EQ(run_ubench(name, o).checksum, scalar)
-                << name << " width " << w;
+        for (int l = 0; l < simd::kNumIsas; ++l) {
+            const auto isa = static_cast<simd::Isa>(l);
+            if (!simd::isa_supported(isa)) continue;
+            simd::set_isa(isa);
+            for (const int w : {1, 2, 4, 8}) {
+                simd::set_width(w);
+                EXPECT_EQ(run_ubench(name, o).checksum, scalar)
+                    << name << " " << simd::isa_name(isa) << " width " << w;
+            }
         }
     }
+    simd::set_isa(prev_isa);
     simd::set_width(prev);
+    for (int l = 0; l < simd::kNumIsas; ++l) {
+        const auto isa = static_cast<simd::Isa>(l);
+        if (!simd::isa_supported(isa)) {
+            missing += std::string(missing.empty() ? "" : ", ") +
+                       simd::isa_name(isa);
+        }
+    }
+    if (!missing.empty()) GTEST_SKIP() << "not run on this host: " << missing;
 }
 
 TEST(Ubench, UnknownKernelAndBadOptionsThrow) {

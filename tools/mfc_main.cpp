@@ -321,8 +321,10 @@ int cmd_ubench(const Args& args) {
             "synthetic rows (min over --reps): ns/cell, achieved effective\n"
             "bandwidth, and the roofline estimate on the reference core\n"
             "(src/perf/kernel_model.hpp). --width pins the simd width\n"
-            "(default: MFC_SIMD_WIDTH or 4); results are bitwise identical\n"
-            "at every width, only the timing changes.\n"
+            "(default: MFC_SIMD_WIDTH or the ISA level's default); the\n"
+            "kernels run at the level MFC_ISA selects (default: the\n"
+            "host's best). Results are bitwise identical at every level\n"
+            "and width, only the timing changes.\n"
             "--check compares the guarded kernels against a reference\n"
             "band (ubench: section with ns_per_cell + tolerance entries)\n"
             "and exits 1 on a regression beyond the tolerance factor.\n");
@@ -338,8 +340,10 @@ int cmd_ubench(const Args& args) {
 
     const std::vector<perf::UbenchResult> results =
         perf::run_ubench_all(opts);
-    std::printf("ubench: %d cells/row, min of %d reps, simd width %d\n\n",
-                opts.cells, opts.reps, simd::width());
+    std::printf("ubench: %d cells/row, min of %d reps, isa %s, simd width "
+                "%d\n\n",
+                opts.cells, opts.reps, simd::isa_name(simd::isa()),
+                simd::width());
     TextTable t({"Kernel", "ns/cell", "GB/s", "Model ns/cell", "x Model"});
     for (std::size_t col = 1; col < 5; ++col)
         t.set_align(col, TextTable::Align::Right);
@@ -359,6 +363,8 @@ int cmd_ubench(const Args& args) {
         out["metadata"]["cells"].set(
             Value(static_cast<long long>(opts.cells)));
         out["metadata"]["reps"].set(Value(static_cast<long long>(opts.reps)));
+        out["metadata"]["isa"].set(
+            Value(std::string(simd::isa_name(simd::isa()))));
         out["metadata"]["simd_width"].set(
             Value(static_cast<long long>(simd::width())));
         Yaml& ub = out["ubench"];
@@ -1192,6 +1198,10 @@ int main(int argc, char** argv) {
     if (tool == "bench") bool_flags.push_back("timing");
     const Args args(argc - 2, argv + 2, bool_flags);
     try {
+        // Resolve MFC_ISA and MFC_SIMD_WIDTH here, so a bad value stops
+        // every tool with a diagnostic before any kernel runs.
+        (void)simd::isa();
+        (void)simd::width();
         if (tool == "tools") return cmd_tools();
         if (tool == "load") return cmd_load(args);
         if (tool == "build") return cmd_build(args);

@@ -39,6 +39,40 @@ HYBRID_HASH=$("$MFC" run tests/data/sod.case --ranks 2 --threads 2 --hash \
     echo "tier1: hybrid 2x2 hash $HYBRID_HASH != serial hash $SERIAL_HASH" >&2
     exit 1; }
 
+# Runtime ISA dispatch: the whole golden suite generated with the
+# kernels forced to the baseline level must be byte-identical to the one
+# generated at the auto-selected (host's best) level — the bitwise
+# contract across ISA levels.
+rm -rf "$BUILD_DIR/tier1_gold_base" "$BUILD_DIR/tier1_gold_auto"
+MFC_ISA=baseline "$MFC" test --generate \
+    --golden-dir "$BUILD_DIR/tier1_gold_base" > /dev/null
+"$MFC" test --generate --golden-dir "$BUILD_DIR/tier1_gold_auto" > /dev/null
+diff -rq "$BUILD_DIR/tier1_gold_base" "$BUILD_DIR/tier1_gold_auto" || {
+    echo "tier1: goldens differ between MFC_ISA=baseline and auto" >&2
+    exit 1; }
+
+# ODR guard for the per-level kernel objects: each level's build must
+# define its inline code under its own namespace, so no weak symbol may
+# appear in two levels' objects (the linker would keep one copy and could
+# hand AVX-512 code to baseline callers). DW.ref.* are data pointers to
+# the C++ personality routine, identical in every object.
+ISA_SYMS="$BUILD_DIR/tier1_isa_syms"
+rm -rf "$ISA_SYMS" && mkdir -p "$ISA_SYMS"
+for obj_dir in $(find "$BUILD_DIR/src" -type d -name '*_isa_*.dir'); do
+    level=${obj_dir##*_isa_}
+    level=${level%.dir}
+    find "$obj_dir" -name '*.o' -exec nm -C --defined-only {} + |
+        awk '$2 ~ /^[WVu]$/ { $1 = ""; $2 = ""; sub(/^ +/, ""); print }' |
+        grep -v '^DW\.ref\.' >> "$ISA_SYMS/$level.txt" || true
+done
+[ "$(ls "$ISA_SYMS" | wc -l)" -ge 1 ] || {
+    echo "tier1: no per-level kernel objects found" >&2; exit 1; }
+for f in "$ISA_SYMS"/*.txt; do sort -u "$f" -o "$f"; done
+SHARED=$(cat "$ISA_SYMS"/*.txt | sort | uniq -d)
+[ -z "$SHARED" ] || {
+    echo "tier1: weak symbols shared across ISA levels:" >&2
+    echo "$SHARED" >&2; exit 1; }
+
 # Telemetry determinism smoke: the deterministic metrics section written
 # by `mfc run --metrics` must be byte-identical across reruns and across
 # thread counts — counters merge in name-sorted order from thread-local
